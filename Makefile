@@ -11,14 +11,14 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check check-nolint fmt lint vet build test race race-metrics race-shared race-incremental bench bench-guard fuzz-smoke serve-smoke
+.PHONY: check check-nolint fmt lint vet build test race race-metrics race-shared race-incremental olapbench bench bench-guard fuzz-smoke serve-smoke
 
-check: fmt lint build test race race-metrics race-shared race-incremental
+check: fmt lint build test race race-metrics race-shared race-incremental olapbench
 
 # The CI check job runs this variant: lint is its own CI job (with the
 # build cache persisted across runs, since mdlint loads the module
 # against export data), so the main gate does not pay for it twice.
-check-nolint: fmt build test race race-metrics race-shared race-incremental
+check-nolint: fmt build test race race-metrics race-shared race-incremental olapbench
 
 # gofmt emits nothing when the tree is clean; any path listed fails the
 # gate.
@@ -46,6 +46,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# olapbench/ is a nested module (the served-OLAP benchmark, with its own
+# go.mod replacing mdjoin with this checkout), so `./...` above never
+# reaches it: vet and test it on its own.
+olapbench:
+	$(GO) -C olapbench vet ./...
+	$(GO) -C olapbench test ./...
 
 # The observability counters are written from worker goroutines (parallel
 # partitions, concurrent scatter sites), so the metrics tests are rerun

@@ -220,9 +220,9 @@ func processPhaseBatch(b *table.Table, cp *compiledPhase, frame []table.Row, bat
 }
 
 // probeCubeBatched is probeCube with batch-local counters: one probe per
-// cube-equality combination, so a tuple updates its 2^k cube cells in one
-// pass. si carries the tuple's chunk position through to feedPair (-1 on
-// the boxed path).
+// cube-equality combination present in B, so a tuple updates its cube
+// cells in one pass. si carries the tuple's chunk position through to
+// feedPair (-1 on the boxed path).
 func probeCubeBatched(cp *compiledPhase, b *table.Table, key []table.Value, frame []table.Row, si int) (tested, matched, probes, hits int) {
 	k := len(cp.cubePos)
 	if cap(cp.savedBuf) < k {
@@ -232,9 +232,9 @@ func probeCubeBatched(cp *compiledPhase, b *table.Table, key []table.Value, fram
 	for i, p := range cp.cubePos {
 		saved[i] = key[p]
 	}
-	for mask := 0; mask < 1<<k; mask++ {
+	for _, mask := range cp.cubeMasks {
 		for i, p := range cp.cubePos {
-			if mask&(1<<i) != 0 {
+			if mask&(1<<uint(p)) != 0 {
 				key[p] = table.All()
 			} else {
 				key[p] = saved[i]

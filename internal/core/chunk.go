@@ -43,10 +43,12 @@ type chunkPhase struct {
 	keyScr  []table.Column
 	argCols []*table.Column
 	argScr  []table.Column
-	// prober vectorizes plain-equality probes against the flat index
-	// (nil for cube-rewritten keys or non-flat probe targets, which keep
-	// the boxed per-row gather).
+	// prober vectorizes the probes against the flat index; masks are the
+	// ALL-substitution key masks each live position probes under (the
+	// single mask 0 for plain equality, the patterns present in B for
+	// cube equality).
 	prober *table.Prober
+	masks  []uint64
 	// union of detail-column ordinals all programs read; the batch driver
 	// transposes only these.
 	ords []int
@@ -98,10 +100,15 @@ func newChunkPhase(pp *phasePlan) *chunkPhase {
 			cpk.keys[i] = cc
 			addOrds(cc)
 		}
+		// The chunk executor never runs the scalar tier, so the index is
+		// the flat table.Index.
+		ix := pp.index.(*table.Index)
 		if len(pp.cubePos) == 0 {
-			if ix, ok := pp.index.(*table.Index); ok {
-				cpk.prober = table.NewProber(ix)
-			}
+			cpk.prober = table.NewProber(ix)
+			cpk.masks = plainMask
+		} else {
+			cpk.prober = table.NewCubeProber(ix, pp.cubeAt)
+			cpk.masks = pp.cubeMasks
 		}
 	}
 	n := len(pp.specs)
@@ -287,21 +294,20 @@ func processPhaseChunk(b *table.Table, cp *compiledPhase, frame []table.Row, bat
 			countKernel(stats.phase(cp.pi), cc, len(sel))
 		}
 	}
-	if cpk.prober != nil {
-		probeChunkVectorized(b, cp, frame, batch, sel, stats)
-		return
-	}
-	probeChunkBoxed(b, cp, frame, batch, sel, stats)
+	probeChunkVectorized(b, cp, frame, batch, sel, stats)
 }
 
-// probeChunkVectorized is the plain-equality probe pipeline: the prober
-// hashes the key columns wholesale (typed vectors and dictionary codes,
-// no boxed key per row), classifies each position, and the loop below
-// only dispatches on the classification — probing the index through the
-// fingerprint pre-filter for live positions and feeding matches into the
-// arena states. Pair, probe, and hit accounting is identical to the
-// scalar reference path; the filter counters are vectorized-only
-// diagnostics and stay out of Stats.Semantic.
+// plainMask is the one probe of a plain-equality key: no ALL substituted.
+var plainMask = []uint64{0}
+
+// probeChunkVectorized is the probe pipeline: the prober hashes the key
+// columns wholesale (typed vectors and dictionary codes, no boxed key per
+// row), classifies each position, and the loop below only dispatches on
+// the classification — probing the index through the fingerprint
+// pre-filter for live positions, once per ALL pattern of a cube base, and
+// feeding matches into the arena states. Pair, probe, and hit accounting
+// is identical to the scalar reference path; the filter counters are
+// vectorized-only diagnostics and stay out of Stats.Semantic.
 func probeChunkVectorized(b *table.Table, cp *compiledPhase, frame []table.Row, batch []table.Row, sel []int32, stats *Stats) {
 	cpk := cp.chunk
 	pr := cpk.prober
@@ -331,31 +337,30 @@ func probeChunkVectorized(b *table.Table, cp *compiledPhase, frame []table.Row, 
 			}
 		case table.ProbeMiss:
 			// Dictionary translation proved no base row matches: account
-			// the probe (the scalar path probes and gets zero hits) but
+			// the probes (the scalar path probes and gets zero hits) but
 			// never touch the index.
-			probes++
-			skipped++
+			probes += len(cpk.masks)
+			skipped += len(cpk.masks)
 		default: // ProbeLive
-			var skip bool
-			cp.probeBuf, skip = pr.ProbeAppend(cp.probeBuf[:0], i)
-			probes++
-			hits += len(cp.probeBuf)
-			if skip {
-				skipped++
-			} else {
-				checked++
-			}
-			if len(cp.probeBuf) == 0 {
-				continue
-			}
 			frame[1] = batch[si]
-			for _, bi := range cp.probeBuf {
-				if !cp.bAlive[bi] {
-					continue
+			for _, km := range cpk.masks {
+				var skip bool
+				cp.probeBuf, skip = pr.ProbeAppend(cp.probeBuf[:0], i, km)
+				probes++
+				hits += len(cp.probeBuf)
+				if skip {
+					skipped++
+				} else {
+					checked++
 				}
-				tested++
-				if feedPair(cp, b.Rows[bi], bi, frame, i) {
-					matched++
+				for _, bi := range cp.probeBuf {
+					if !cp.bAlive[bi] {
+						continue
+					}
+					tested++
+					if feedPair(cp, b.Rows[bi], bi, frame, i) {
+						matched++
+					}
 				}
 			}
 		}
@@ -363,80 +368,6 @@ func probeChunkVectorized(b *table.Table, cp *compiledPhase, frame []table.Row, 
 	frame[0], frame[1] = nil, nil
 	flushPhaseStats(stats, cp.pi, tested, matched, probes, hits)
 	flushFilterStats(stats, cp.pi, checked, skipped)
-}
-
-// probeChunkBoxed is the per-row gather fallback for phases the prober
-// cannot serve: cube-rewritten keys (probeCubeBatched mutates the
-// gathered key through 2^k ALL-substitution masks) and non-flat probe
-// targets. Keys box back into []table.Value through Column.Value.
-//
-//mdlint:boxedkey cube rewriting mutates a boxed key copy per probe mask
-func probeChunkBoxed(b *table.Table, cp *compiledPhase, frame []table.Row, batch []table.Row, sel []int32, stats *Stats) {
-	cpk := cp.chunk
-	nk := len(cpk.keys)
-	if cap(cp.keyBuf) < nk {
-		cp.keyBuf = make([]table.Value, nk)
-	}
-	key := cp.keyBuf[:nk]
-
-	tested, matched, probes, hits := 0, 0, 0, 0
-	for _, si := range sel {
-		i := int(si)
-		degenerate, dead := false, false
-		for kix := range key {
-			kc := cpk.keyCols[kix]
-			if kc.IsAll(i) {
-				// A detail-side ALL matches every base value under =^;
-				// fall back to the full loop for this tuple (cannot arise
-				// from ordinary detail data).
-				degenerate = true
-			}
-			if kc.IsNull(i) && !cp.cubeAt[kix] {
-				// Strict equality with NULL is never true: no base row
-				// can match this tuple in this phase.
-				dead = true
-			}
-			key[kix] = kc.Value(i)
-		}
-		if dead {
-			continue
-		}
-		frame[1] = batch[si]
-		switch {
-		case degenerate:
-			for bi, br := range b.Rows {
-				if !cp.bAlive[bi] {
-					continue
-				}
-				tested++
-				if feedPair(cp, br, bi, frame, i) {
-					matched++
-				}
-			}
-		case len(cp.cubePos) == 0:
-			// Plain equality: one probe, no key rewriting.
-			cp.probeBuf = cp.index.ProbeAppend(cp.probeBuf[:0], key)
-			probes++
-			hits += len(cp.probeBuf)
-			for _, bi := range cp.probeBuf {
-				if !cp.bAlive[bi] {
-					continue
-				}
-				tested++
-				if feedPair(cp, b.Rows[bi], bi, frame, i) {
-					matched++
-				}
-			}
-		default:
-			t, m, pr, h := probeCubeBatched(cp, b, key, frame, i)
-			tested += t
-			matched += m
-			probes += pr
-			hits += h
-		}
-	}
-	frame[0], frame[1] = nil, nil
-	flushPhaseStats(stats, cp.pi, tested, matched, probes, hits)
 }
 
 // countKernel attributes one chunk-kernel run's elements to the typed or

@@ -375,8 +375,29 @@ func (inc *Incremental) Snapshot() (*table.Table, error) {
 	if err := ctxErr(inc.opt.Ctx); err != nil {
 		return nil, err
 	}
+	return inc.assembleLive(), nil
+}
+
+// SnapshotRows is Snapshot plus the number of live detail rows the
+// snapshot aggregates (Rows), both read under one lock, so an Append
+// racing the call cannot make the count run ahead of the result.
+func (inc *Incremental) SnapshotRows() (*table.Table, int, error) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	if inc.err != nil {
+		return nil, 0, inc.err
+	}
+	if err := ctxErr(inc.opt.Ctx); err != nil {
+		return nil, 0, err
+	}
+	return inc.assembleLive(), inc.live, nil
+}
+
+// assembleLive builds the result table of the live window; the caller
+// holds mu and has checked the poison.
+func (inc *Incremental) assembleLive() *table.Table {
 	if inc.cur == nil || inc.subtract {
-		return assemble(inc.schema, inc.base, inc.cps), nil
+		return assemble(inc.schema, inc.base, inc.cps)
 	}
 	// Partitioned window: re-aggregate the surviving buckets (oldest
 	// first, so order-sensitive states see arrival order) plus the open
@@ -392,7 +413,7 @@ func (inc *Incremental) Snapshot() (*table.Table, error) {
 		shallow.states = merged
 		tmp[i] = &shallow
 	}
-	return assemble(inc.schema, inc.base, tmp), nil
+	return assemble(inc.schema, inc.base, tmp)
 }
 
 // SizeBytes estimates the materialization's resident footprint: live and

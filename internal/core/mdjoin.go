@@ -40,6 +40,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"mdjoin/internal/agg"
 	"mdjoin/internal/expr"
@@ -240,6 +242,13 @@ type phasePlan struct {
 	// per-position flag.
 	cubePos []int
 	cubeAt  []bool
+	// cubeMasks lists, ascending, the ALL-substitution masks (bit p ↔
+	// equi-key position p, one of cubePos) that some base row carries. A
+	// probe under mask m can only hit rows holding ALL exactly at m's
+	// positions, so these are the only probes worth making: up to 2^k for
+	// a cube base, just mask 0 — one probe per tuple — for a base without
+	// ALL markers.
+	cubeMasks []uint64
 	// index over B's equi columns (nil → nested loop). Flat when the
 	// batch executor drives the scan, map-backed for the scalar reference.
 	index probeIndex
@@ -394,6 +403,9 @@ func compilePhases(b *table.Table, rSchema *table.Schema, phases []Phase, opt Op
 			}
 			pp.cubeAt = make([]bool, len(ta.EquiIsCube))
 			copy(pp.cubeAt, ta.EquiIsCube)
+			if len(pp.cubePos) > 0 {
+				pp.cubeMasks = presentMasks(b, ta.EquiBCols, pp.cubePos)
+			}
 			if opt.Stats != nil {
 				opt.Stats.IndexUsed = true
 				opt.Stats.phase(pi).IndexUsed = true
@@ -414,6 +426,30 @@ func compilePhases(b *table.Table, rSchema *table.Schema, phases []Phase, opt Op
 		out[pi] = pp
 	}
 	return out, nil
+}
+
+// presentMasks collects the distinct ALL-substitution masks of b's rows
+// over the cube-equality key columns (see phasePlan.cubeMasks).
+func presentMasks(b *table.Table, bcols, cubePos []int) []uint64 {
+	seen := map[uint64]bool{}
+	last := uint64(math.MaxUint64)
+	for _, r := range b.Rows {
+		var m uint64
+		for _, p := range cubePos {
+			if r[bcols[p]].IsAll() {
+				m |= 1 << uint(p)
+			}
+		}
+		if m != last { // grouping sets are contiguous: skip the map mostly
+			seen[m], last = true, m
+		}
+	}
+	out := make([]uint64, 0, len(seen))
+	for m := range seen {
+		out = append(out, m)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // newPhaseExecs attaches fresh per-worker execution state (arena-backed
@@ -570,10 +606,11 @@ func processTuple(b *table.Table, cps []*compiledPhase, frame []table.Row, key [
 	return key
 }
 
-// probeCube probes the base index once per cube-equality combination:
-// each =^ key position is tried both with the tuple's value and with the
-// ALL marker, so a tuple updates its 2^k cube cells in one pass — the
-// paper's single-scan evaluation of a cube-structured base-values table.
+// probeCube probes the base index once per cube-equality combination
+// present in B: each =^ key position is tried with the tuple's value or
+// with the ALL marker, so a tuple updates its (up to 2^k) cube cells in
+// one pass — the paper's single-scan evaluation of a cube-structured
+// base-values table.
 func probeCube(cp *compiledPhase, b *table.Table, key []table.Value, frame []table.Row, stats *Stats) {
 	k := len(cp.cubePos)
 	if cap(cp.savedBuf) < k {
@@ -583,9 +620,9 @@ func probeCube(cp *compiledPhase, b *table.Table, key []table.Value, frame []tab
 	for i, p := range cp.cubePos {
 		saved[i] = key[p]
 	}
-	for mask := 0; mask < 1<<k; mask++ {
+	for _, mask := range cp.cubeMasks {
 		for i, p := range cp.cubePos {
-			if mask&(1<<i) != 0 {
+			if mask&(1<<uint(p)) != 0 {
 				key[p] = table.All()
 			} else {
 				key[p] = saved[i]

@@ -52,9 +52,9 @@ type PhaseStats struct {
 	// this phase's equi conjuncts.
 	IndexUsed bool `json:"index_used"`
 	// IndexProbes counts index lookups (one per surviving tuple for plain
-	// equality, 2^k per tuple for k cube-equality positions); IndexHits
-	// counts the candidate base rows those probes returned, before the
-	// B-only liveness filter.
+	// equality, one per ALL pattern present in B — up to 2^k — for k
+	// cube-equality positions); IndexHits counts the candidate base rows
+	// those probes returned, before the B-only liveness filter.
 	IndexProbes int `json:"index_probes"`
 	IndexHits   int `json:"index_hits"`
 	// PushdownIn/PushdownOut measure Theorem 4.2 selectivity: detail tuples

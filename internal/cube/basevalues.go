@@ -72,17 +72,14 @@ func GroupingSetsBase(t *table.Table, dims []string, sets [][]string) (*table.Ta
 		}
 		dimIdx[i] = j
 	}
-	// Distinct full-dimension combinations, computed once; every grouping
-	// set projects from it.
-	full, err := engine.DistinctOn(t, dims...)
-	if err != nil {
-		return nil, err
-	}
+	// Distinct full-dimension combinations (the finest cuboid), computed
+	// once by the grouping kernel; every grouping set projects from it.
+	full := table.Distinct(t, dimIdx, table.SchemaOf(dims...))
 
 	// Builder-built: cube base-values tables double as detail inputs when
 	// MD-joins chain (Theorem 4.5 roll-ups), so carrying the columnar
 	// mirror lets those scans skip the transpose.
-	out := table.NewBuilder(table.SchemaOf(dims...))
+	out := table.NewBuilder(full.Schema)
 	seenSet := map[uint]bool{}
 	for _, s := range sets {
 		mask, err := maskOf(dims, s)
@@ -99,33 +96,22 @@ func GroupingSetsBase(t *table.Table, dims []string, sets [][]string) (*table.Ta
 }
 
 // appendMaskRows appends the distinct mask-projection of the full
-// combination table, padding non-mask dimensions with ALL.
+// combination table in first-occurrence order, padding non-mask
+// dimensions with ALL. The full mask is full itself, already distinct.
 func appendMaskRows(out *table.Builder, full *table.Table, mask uint) {
-	n := full.Schema.Len()
-	seen := map[uint64][]table.Row{}
-	for _, r := range full.Rows {
-		row := make(table.Row, n)
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				row[i] = r[i]
-			} else {
-				row[i] = table.All()
-			}
+	var keys []int
+	for i := 0; i < full.Schema.Len(); i++ {
+		if mask&(1<<uint(i)) != 0 {
+			keys = append(keys, i)
 		}
-		h := row.Hash()
-		dup := false
-		for _, prev := range seen[h] {
-			if prev.Equal(row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], row)
-		out.Append(row)
 	}
+	if len(keys) == full.Schema.Len() {
+		for _, r := range full.Rows {
+			out.Append(r)
+		}
+		return
+	}
+	table.NewGrouper(out, keys).AddTable(full, keys)
 }
 
 // subset returns the dims selected by the bit mask (bit i ↔ dims[i]).

@@ -19,28 +19,45 @@ import (
 	"mdjoin/internal/table"
 )
 
-// Select returns the rows of t satisfying pred (SQL truth: NULL is false).
-// A nil predicate returns a shallow copy of t.
+// Select returns the rows of t satisfying pred (SQL truth: NULL is false)
+// as a table carrying its columnar mirror, so a filtered detail relation
+// still scans without a transpose. The predicate runs column-at-a-time
+// over t's chunks — t's own mirror when it has one, else a transpose of
+// just the columns pred reads. A nil predicate returns a shallow copy of
+// t.
 func Select(t *table.Table, pred expr.Expr) (*table.Table, error) {
-	out := table.New(t.Schema)
 	if pred == nil {
+		out := table.New(t.Schema)
 		out.Rows = append(out.Rows, t.Rows...)
 		return out, nil
 	}
 	b := expr.NewBinding()
-	b.AddRel(t.Schema, "r", "detail")
-	c, err := expr.Compile(pred, b)
+	slot := b.AddRel(t.Schema, "r", "detail")
+	out := table.NewBuilder(t.Schema)
+	cc, err := expr.CompileChunk(pred, b, slot)
 	if err != nil {
 		return nil, err
 	}
-	frame := make([]table.Row, 1)
-	for _, r := range t.Rows {
-		frame[0] = r
-		if c.Truth(frame) {
-			out.Append(r)
+	chunks := t.CachedChunks(table.ChunkSize)
+	var scratch *table.Chunk
+	var sel []int32
+	for ci, off := 0, 0; off < len(t.Rows); ci, off = ci+1, off+table.ChunkSize {
+		rows := t.Rows[off:min(off+table.ChunkSize, len(t.Rows))]
+		if chunks != nil && chunks[ci].Len() == len(rows) {
+			sel = cc.FilterChunk(chunks[ci], expr.IdentitySel(sel, len(rows)))
+			out.AppendSelected(chunks[ci], rows, sel)
+			continue
+		}
+		if scratch == nil {
+			scratch = table.NewChunk(t.Schema)
+		}
+		scratch.LoadRows(rows, cc.Ordinals())
+		sel = cc.FilterChunk(scratch, expr.IdentitySel(sel, len(rows)))
+		for _, si := range sel {
+			out.Append(rows[si])
 		}
 	}
-	return out, nil
+	return out.Table(), nil
 }
 
 // ProjCol is one projected column: an expression and its output name. A
@@ -72,7 +89,10 @@ func Cols(names ...string) []ProjCol {
 
 // Project evaluates the projection list over every row. With distinct set,
 // duplicate output rows are removed (set projection — how the paper's
-// "select distinct cust from Sales" base-values tables arise).
+// "select distinct cust from Sales" base-values tables arise) by the
+// table.Index grouping kernel, keeping first occurrences in order. A
+// distinct projection of bare columns evaluates no expression: it groups
+// t's own columns.
 func Project(t *table.Table, cols []ProjCol, distinct bool) (*table.Table, error) {
 	b := expr.NewBinding()
 	b.AddRel(t.Schema, "r", "detail")
@@ -86,11 +106,11 @@ func Project(t *table.Table, cols []ProjCol, distinct bool) (*table.Table, error
 		compiled[i] = c
 		outCols[i] = table.Field{Name: p.Name()}
 	}
-	out := table.New(table.NewSchema(outCols...))
-	var seen map[uint64][]table.Row
-	if distinct {
-		seen = make(map[uint64][]table.Row, len(t.Rows))
+	schema := table.NewSchema(outCols...)
+	if ords := bareColumns(t.Schema, cols); ords != nil && distinct {
+		return table.Distinct(t, ords, schema), nil
 	}
+	out := table.New(schema)
 	frame := make([]table.Row, 1)
 	for _, r := range t.Rows {
 		frame[0] = r
@@ -98,23 +118,32 @@ func Project(t *table.Table, cols []ProjCol, distinct bool) (*table.Table, error
 		for i, c := range compiled {
 			row[i] = c.Eval(frame)
 		}
-		if distinct {
-			h := row.Hash()
-			dup := false
-			for _, prev := range seen[h] {
-				if prev.Equal(row) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen[h] = append(seen[h], row)
-		}
 		out.Append(row)
 	}
+	if distinct {
+		ords := make([]int, len(cols))
+		for i := range ords {
+			ords[i] = i
+		}
+		return table.Distinct(out, ords, schema), nil
+	}
 	return out, nil
+}
+
+// bareColumns returns the ordinals in s of a projection list made only of
+// unqualified column references, or nil.
+func bareColumns(s *table.Schema, cols []ProjCol) []int {
+	ords := make([]int, len(cols))
+	for i, p := range cols {
+		c, ok := p.Expr.(*expr.Col)
+		if !ok || c.Qual != "" {
+			return nil
+		}
+		if ords[i] = s.ColIndex(c.Name); ords[i] < 0 {
+			return nil
+		}
+	}
+	return ords
 }
 
 // Distinct removes duplicate rows over the full schema.

@@ -280,10 +280,14 @@ func (m *MDJoin) Execute(cat Catalog) (*table.Table, error) {
 	if opt.RAlias == "" {
 		opt.RAlias = m.DetailName
 	}
-	if opt.Shared != nil {
+	if _, catalogDetail := m.Detail.(*Scan); opt.Shared != nil && catalogDetail {
 		// Cross-query shared scans: compile here, let the coordinator
 		// batch this evaluation with concurrent queries over the same
 		// detail table (same merged machinery, same results and Stats).
+		// Groups are keyed by detail-table identity, so only a catalog
+		// relation can be shared: a detail this plan computes (a pushed
+		// selection, a roll-up's finest cuboid) is private to the query
+		// and would only wait out the collection window.
 		return opt.Shared.Eval(b, r, m.Phases, opt)
 	}
 	return core.Eval(b, r, m.Phases, opt)

@@ -112,7 +112,7 @@ func (s *Server) handleCreateView(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, id, http.StatusBadRequest, "view queries cannot use WITH: members re-materialize per execution, which a frozen view cannot maintain")
 		return
 	}
-	plan := prep.Plan()
+	plan := prep.MaintainedPlan()
 	mdjs := optimizer.CollectMDJoins(plan)
 	if len(mdjs) != 1 {
 		s.refuse(w, id, http.StatusBadRequest,
@@ -192,7 +192,7 @@ func (s *Server) handleReadView(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, id, http.StatusNotFound, fmt.Sprintf("no view %q", name))
 		return
 	}
-	snap, err := v.inc.Snapshot()
+	snap, rowsIn, err := v.inc.SnapshotRows()
 	if err != nil {
 		s.refuse(w, id, http.StatusInternalServerError, "view snapshot: "+err.Error())
 		return
@@ -216,7 +216,7 @@ func (s *Server) handleReadView(w http.ResponseWriter, r *http.Request) {
 		"columns":    res.Schema.Names(),
 		"rows":       jsonRows(res),
 		"row_count":  res.Len(),
-		"rows_in":    v.inc.Rows(),
+		"rows_in":    rowsIn,
 		"size_bytes": v.inc.SizeBytes(),
 	})
 }
@@ -303,12 +303,10 @@ func (s *Server) handleAppendTable(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("append columns %v do not match table %q columns %v", delta.Schema.Names(), key, old.Schema.Names()))
 		return
 	}
-	// Copy-on-write: the three-index reslice caps the shared prefix, so
-	// appending cannot scribble into a snapshot another query is reading.
-	next := &table.Table{
-		Schema: old.Schema,
-		Rows:   append(old.Rows[:old.Len():old.Len()], delta.Rows...),
-	}
+	// Copy-on-write: Extend leaves old untouched for the queries still
+	// reading it, and keeps the columnar mirror so ad-hoc queries over
+	// the extended table scan it without a transpose.
+	next := old.Extend(delta.Rows)
 	s.RegisterTable(key, next)
 	s.m.appends.Add(1)
 

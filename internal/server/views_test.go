@@ -317,3 +317,72 @@ func TestViewStatsAndDrain(t *testing.T) {
 		t.Errorf("view read during drain answered %d", status)
 	}
 }
+
+// TestViewRowsInMatchesReply races view reads against appends: every
+// reply's rows_in must count exactly the detail rows its rows aggregate,
+// never rows appended after the snapshot was taken.
+func TestViewRowsInMatchesReply(t *testing.T) {
+	s := New(Config{})
+	s.RegisterTable("T", table.MustFromRows(table.SchemaOf("k", "v"), []table.Row{
+		{table.Int(1), table.Int(10)}, {table.Int(2), table.Int(20)},
+	}))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	if status, body := do(t, ts, http.MethodPost, "/views/total", "select count(*) as n from T"); status != http.StatusOK {
+		t.Fatalf("create view: %d %s", status, body)
+	}
+
+	const appends = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < appends; i++ {
+			req, err := http.NewRequest(http.MethodPut, ts.URL+"/tables/T/append", strings.NewReader("k,v\n1,1\n2,2\n"))
+			if err != nil {
+				done <- err
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				done <- err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				done <- fmt.Errorf("append %d: status %d", i, resp.StatusCode)
+				return
+			}
+		}
+		done <- nil
+	}()
+
+	reads := 0
+	for finished := false; !finished; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+		}
+		status, body := do(t, ts, http.MethodGet, "/views/total", "")
+		if status != http.StatusOK {
+			t.Fatalf("read view: %d %s", status, body)
+		}
+		var reply struct {
+			Rows   [][]int `json:"rows"`
+			RowsIn int     `json:"rows_in"`
+		}
+		if err := json.Unmarshal(body, &reply); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		if len(reply.Rows) != 1 || reply.Rows[0][0] != reply.RowsIn {
+			t.Fatalf("read %d: rows_in %d, but the reply aggregates %v rows", reads, reply.RowsIn, reply.Rows)
+		}
+	}
+	status, body := do(t, ts, http.MethodGet, "/views/total", "")
+	if want := fmt.Sprintf(`"rows":[[%d]]`, 2+2*appends); status != http.StatusOK || !strings.Contains(string(body), want) {
+		t.Fatalf("final read after %d appends: %d %s, want %s", appends, status, body, want)
+	}
+}

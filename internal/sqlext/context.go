@@ -20,7 +20,10 @@ type Prepared struct {
 	src   string
 	query *Query
 	plan  optimizer.Plan
-	with  []preparedCTE
+	// maintained is plan before the Theorem 4.5 roll-up: one MD-join per
+	// aggregation variable, each over its detail relation.
+	maintained optimizer.Plan
+	with       []preparedCTE
 }
 
 // preparedCTE is one WITH-clause member, compiled like the main query;
@@ -55,7 +58,8 @@ func prepareQuery(src string, q *Query) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.plan = optimizer.Optimize(plan)
+	p.maintained = optimizer.OptimizeRules(plan)
+	p.plan = optimizer.RollupCubes(p.maintained)
 	return p, nil
 }
 
@@ -68,6 +72,13 @@ func (p *Prepared) Src() string { return p.src }
 // views graft a Literal over the MD-join node) must rebuild rather than
 // mutate — optimizer.ReplacePlanNode and WithExecOptions both do.
 func (p *Prepared) Plan() optimizer.Plan { return p.plan }
+
+// MaintainedPlan returns the optimized plan without the Theorem 4.5
+// roll-up (optimizer.RollupCubes), whose MD-joins each aggregate a
+// detail relation directly — the shape an incrementally maintained view
+// folds appends into. It is Plan itself for every query the roll-up
+// leaves alone.
+func (p *Prepared) MaintainedPlan() optimizer.Plan { return p.maintained }
 
 // HasWith reports whether the query carries WITH-clause members. Their
 // results are materialized per execution, so callers freezing a plan

@@ -1,6 +1,9 @@
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // ChunkSize is the default number of rows per columnar chunk. The batch
 // executor in internal/core aliases this so that tables built through
@@ -160,6 +163,69 @@ func (c *Column) AppendValue(v Value) {
 		c.bools = c.bools.grow(c.n)
 		if v.i != 0 {
 			c.bools.Set(i)
+		}
+	}
+}
+
+// appendFrom appends src's values at the selected positions: a typed
+// gather when both columns carry the same payload kind (strings re-coded
+// into this column's dictionary once per distinct source code), else
+// value by value.
+func (c *Column) appendFrom(src *Column, sel []int32) {
+	k := src.PayloadKind()
+	if c.kind == KindNull && !c.isBoxed && k != KindNull {
+		// First typed values: fix the kind and backfill placeholder slots
+		// for any leading NULL/ALL positions.
+		c.kind = k
+		for j := 0; j < c.n; j++ {
+			c.appendZero()
+		}
+	}
+	if c.isBoxed || k == KindNull || c.kind != k {
+		for _, si := range sel {
+			c.AppendValue(src.Value(int(si)))
+		}
+		return
+	}
+	i0 := c.n
+	c.n += len(sel)
+	c.nulls = c.nulls.grow(c.n)
+	c.alls = c.alls.grow(c.n)
+	switch k {
+	case KindInt:
+		for _, si := range sel {
+			c.ints = append(c.ints, src.ints[si])
+		}
+	case KindFloat:
+		for _, si := range sel {
+			c.floats = append(c.floats, src.floats[si])
+		}
+	case KindString:
+		xl := make([]int32, len(src.dict))
+		for _, si := range sel {
+			sc := src.codes[si]
+			if xl[sc] == 0 {
+				xl[sc] = c.code(src.dict[sc]) + 1
+			}
+			c.codes = append(c.codes, xl[sc]-1)
+		}
+	case KindBool:
+		c.bools = c.bools.grow(c.n)
+		for j, si := range sel {
+			if src.bools.Get(int(si)) {
+				c.bools.Set(i0 + j)
+			}
+		}
+	}
+	if src.HasSpecial() {
+		for j, si := range sel {
+			if src.IsNull(int(si)) {
+				c.nulls.Set(i0 + j)
+				c.hasNull = true
+			} else if src.IsAll(int(si)) {
+				c.alls.Set(i0 + j)
+				c.hasAll = true
+			}
 		}
 	}
 }
@@ -421,6 +487,59 @@ func (t *Table) CachedChunks(size int) []*Chunk {
 	return t.chunks
 }
 
+// Extend returns a new table holding t's rows followed by rows, leaving t
+// untouched: the copy-on-write append of a live catalog, where in-flight
+// queries keep reading t. The new table keeps a columnar mirror: it
+// shares t's sealed (full) chunks and copies only t's partial tail chunk
+// before appending, so extending costs O(ChunkSize + len(rows)) columnar
+// work however long t is. A table without a mirror gets one built.
+func (t *Table) Extend(rows []Row) *Table {
+	b := NewBuilder(t.Schema)
+	chunks := t.CachedChunks(ChunkSize)
+	if len(chunks) == 0 {
+		for _, r := range t.Rows {
+			b.Append(r)
+		}
+	} else {
+		b.rows = make([]Row, len(t.Rows), len(t.Rows)+len(rows))
+		copy(b.rows, t.Rows)
+		n := len(chunks)
+		b.chunks = chunks[:n:n] // capped: sealing reallocates, t's list stays
+		if last := chunks[n-1]; last.Len() < ChunkSize {
+			b.chunks = chunks[: n-1 : n-1]
+			b.cur = last.clone()
+		}
+	}
+	for _, r := range rows {
+		b.Append(r)
+	}
+	return b.Table()
+}
+
+// clone deep-copies the chunk, so appends to the copy leave it untouched.
+func (c *Chunk) clone() *Chunk {
+	out := &Chunk{schema: c.schema, cols: make([]Column, len(c.cols)), n: c.n, full: c.full}
+	for j := range c.cols {
+		out.cols[j] = c.cols[j].clone()
+	}
+	return out
+}
+
+// clone deep-copies the column, its builder dictionary included.
+func (c *Column) clone() Column {
+	d := *c
+	d.ints = append([]int64(nil), c.ints...)
+	d.floats = append([]float64(nil), c.floats...)
+	d.bools = append(Bitmap(nil), c.bools...)
+	d.dict = append([]string(nil), c.dict...)
+	d.codes = append([]int32(nil), c.codes...)
+	d.boxed = append([]Value(nil), c.boxed...)
+	d.nulls = append(Bitmap(nil), c.nulls...)
+	d.alls = append(Bitmap(nil), c.alls...)
+	d.dictIdx = maps.Clone(c.dictIdx)
+	return d
+}
+
 // AppendChunk appends every row of the chunk, materializing the row views
 // into a single shared backing array (one allocation per chunk rather
 // than one per row).
@@ -479,16 +598,47 @@ func (b *Builder) Append(r Row) {
 		panic(fmt.Sprintf("table: appending row with %d values to schema %v with %d columns",
 			len(r), b.schema.Names(), w))
 	}
-	if b.cur == nil || b.cur.Len() == ChunkSize {
-		b.seal()
-		b.cur = NewChunk(b.schema)
-		b.block = make([]Value, 0, ChunkSize*w)
+	b.next()
+	if cap(b.block)-len(b.block) < w {
+		b.block = make([]Value, 0, (ChunkSize-b.cur.Len())*w)
 	}
 	start := len(b.block)
-	b.block = append(b.block, r...) // never reallocates: cap is ChunkSize*w
+	b.block = append(b.block, r...) // never reallocates: cap covers the chunk
 	row := Row(b.block[start:len(b.block):len(b.block)])
 	b.rows = append(b.rows, row)
 	b.cur.AppendRow(row)
+}
+
+// AppendSelected appends rows[si] for each si in sel, where rows are the
+// row views of chunk ch (every column loaded). The rows are shared, not
+// copied — rows are immutable — and the mirror gathers the selected
+// positions column-wise from ch's typed vectors, with no boxed Value per
+// element: how a selection keeps its input's columnar form.
+func (b *Builder) AppendSelected(ch *Chunk, rows []Row, sel []int32) {
+	if ch.schema.Len() != b.schema.Len() || !ch.full {
+		panic(fmt.Sprintf("table: gathering from a chunk of %v into schema %v", ch.schema.Names(), b.schema.Names()))
+	}
+	for len(sel) > 0 {
+		b.next()
+		part := sel[:min(len(sel), ChunkSize-b.cur.Len())]
+		sel = sel[len(part):]
+		for _, si := range part {
+			b.rows = append(b.rows, rows[si])
+		}
+		for j := range b.cur.cols {
+			b.cur.cols[j].appendFrom(&ch.cols[j], part)
+		}
+		b.cur.n += len(part)
+	}
+}
+
+// next opens a fresh current chunk when there is none or it is full.
+func (b *Builder) next() {
+	if b.cur == nil || b.cur.Len() == ChunkSize {
+		b.seal()
+		b.cur = NewChunk(b.schema)
+		b.block = nil
+	}
 }
 
 func (b *Builder) seal() {

@@ -34,7 +34,9 @@ import (
 // Collisions (distinct keys with equal hashes, or equal-hash slots reached
 // by linear probing) are verified against the actual row values.
 type Index struct {
-	tab  *Table
+	// rows are the indexed rows (nil for a Grouper's insert-mode index,
+	// whose groups live in its Builder).
+	rows []Row
 	cols []int
 	mask uint64   // len(slotHash) - 1; len is a power of two
 	hash []uint64 // per slot: the full key hash, valid when head >= 0
@@ -70,7 +72,7 @@ func BuildIndexOrdinals(t *Table, cols []int) *Index {
 		nslots <<= 1
 	}
 	ix := &Index{
-		tab:      t,
+		rows:     t.Rows,
 		cols:     cols,
 		mask:     uint64(nslots - 1),
 		hash:     make([]uint64, nslots),
@@ -107,7 +109,7 @@ func BuildIndexOrdinals(t *Table, cols []int) *Index {
 func (ix *Index) buildDicts() {
 	for k, c := range ix.cols {
 		allStr := true
-		for _, r := range ix.tab.Rows {
+		for _, r := range ix.rows {
 			if r[c].kind != KindString {
 				allStr = false
 				break
@@ -117,8 +119,8 @@ func (ix *Index) buildDicts() {
 			continue
 		}
 		dict := make(map[string]int32)
-		codes := make([]int32, len(ix.tab.Rows))
-		for ri, r := range ix.tab.Rows {
+		codes := make([]int32, len(ix.rows))
+		for ri, r := range ix.rows {
 			s := r[c].s
 			code, ok := dict[s]
 			if !ok {
@@ -136,7 +138,7 @@ func (ix *Index) buildDicts() {
 // columns hash their code, the rest hash the value.
 func (ix *Index) rowHash(ri int) uint64 {
 	h := fnvBasis
-	r := ix.tab.Rows[ri]
+	r := ix.rows[ri]
 	for k, c := range ix.cols {
 		var hv uint64
 		if ix.dicts[k] != nil {
@@ -213,7 +215,7 @@ func (ix *Index) ProbeAppend(dst []int, key []Value) []int {
 	}
 	s := ix.findSlot(h)
 	for ri := ix.head[s]; ri >= 0; ri = ix.next[ri] {
-		r := ix.tab.Rows[ri]
+		r := ix.rows[ri]
 		match := true
 		for i, c := range ix.cols {
 			if !r[c].Equal(key[i]) {

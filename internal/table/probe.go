@@ -7,28 +7,37 @@ package table
 // per row — folding multi-column keys into a reusable per-position hash
 // vector. Alongside the hashes it tracks a per-position probe state that
 // replicates the scalar reference path's key classification (NULL keys
-// kill the tuple, ALL keys degenerate to the full base loop), plus a
-// third vectorized-only outcome: a position whose key provably matches no
-// base row (a string absent from a dict-keyed column's dictionary, or a
-// non-string key against an all-string column) is a miss — the caller
-// still accounts the probe, but the index is never touched.
+// kill the tuple under strict equality, ALL keys degenerate to the full
+// base loop), plus a third vectorized-only outcome: a position whose key
+// provably matches no base row (a string absent from a dict-keyed
+// column's dictionary, or a non-string key against an all-string column)
+// is a miss — the caller still accounts the probe, but the index is never
+// touched.
 //
 // ProbeAppend then resolves live positions against the index's 8-bit tag
 // fingerprints first, so probes for absent keys usually finish without
 // loading the full hash array — the pre-filter that pays off on
 // low-hit-rate θs.
 //
-// A Prober belongs to one executor worker (it owns scratch) and is only
-// built for plain multi-column equality: cube-rewritten keys (ALL
-// substitution masks) keep the boxed probe path.
+// A Prober belongs to one executor worker (it owns scratch). NewProber
+// serves plain multi-column equality; NewCubeProber serves cube equality
+// (=^), probing each position once per ALL pattern of the base.
 type Prober struct {
-	ix      *Index
-	hashes  []uint64
-	state   []ProbeState
-	keyCols []*Column    // column folded at each key position, for verify
-	codes   [][]int32    // per dict-keyed position: translated index codes
-	xlats   []dictMemo   // per dict-keyed position: R-dict → index-code table
-	strHvs  []dictMemo64 // per value-keyed position: per-R-code string hashes
+	ix *Index
+	// nullEq[k] marks key positions under cube equality (=^), where a
+	// NULL key matches NULL base values instead of killing the tuple; nil
+	// means strict equality everywhere.
+	nullEq []bool
+	// colHashes[k][i] keeps key column k's own hash at position i, so a
+	// masked ProbeAppend can refold a key with ALL substituted (cube
+	// probers only; nil otherwise).
+	colHashes [][]uint64
+	hashes    []uint64
+	state     []ProbeState
+	keyCols   []*Column    // column folded at each key position, for verify
+	codes     [][]int32    // per dict-keyed position: translated index codes
+	xlats     []dictMemo   // per dict-keyed position: R-dict → index-code table
+	strHvs    []dictMemo64 // per value-keyed position: per-R-code string hashes
 }
 
 // ProbeState classifies one chunk position after all key columns folded.
@@ -80,6 +89,25 @@ func NewProber(ix *Index) *Prober {
 	}
 }
 
+// NewCubeProber builds a prober for a cube-equality θ (cubeAt[k] flags
+// key k as =^): a NULL key at an =^ position probes for NULL base values
+// rather than killing the tuple, and ProbeAppend's mask probes a
+// position's key with the ALL marker substituted at chosen positions.
+func NewCubeProber(ix *Index, cubeAt []bool) *Prober {
+	p := NewProber(ix)
+	p.nullEq = cubeAt
+	p.colHashes = make([][]uint64, len(cubeAt))
+	return p
+}
+
+// fold folds key column k's hash hv into position i's key hash.
+func (p *Prober) fold(k, i int, hv uint64) {
+	p.hashes[i] = combineHash(p.hashes[i], hv)
+	if p.colHashes != nil {
+		p.colHashes[k][i] = hv
+	}
+}
+
 // Begin resets the prober for a chunk of n positions: every position
 // starts live with the seed hash.
 func (p *Prober) Begin(n int) {
@@ -95,6 +123,12 @@ func (p *Prober) Begin(n int) {
 	for i := range p.state {
 		p.state[i] = ProbeLive
 	}
+	for k, hv := range p.colHashes {
+		if cap(hv) < n {
+			hv = make([]uint64, n)
+		}
+		p.colHashes[k] = hv[:n]
+	}
 }
 
 // State returns position i's classification after the key columns folded.
@@ -107,11 +141,21 @@ func (p *Prober) FoldKeyCol(k int, col *Column, sel []int32) {
 	p.keyCols[k] = col
 	hasSpec := col.HasSpecial()
 	if hasSpec {
+		nullEq := p.nullEq != nil && p.nullEq[k]
+		dictKeyed := p.ix.dicts[k] != nil
 		for _, si := range sel {
 			i := int(si)
-			if col.IsNull(i) {
+			switch {
+			case col.IsNull(i) && !nullEq:
 				p.state[i] = ProbeDead
-			} else if col.IsAll(i) && p.state[i] < ProbeDegen {
+			case col.IsNull(i) && dictKeyed:
+				// An all-string base column holds no NULL to match.
+				if p.state[i] < ProbeMiss {
+					p.state[i] = ProbeMiss
+				}
+			case col.IsNull(i):
+				p.fold(k, i, nullKeyHash)
+			case col.IsAll(i) && p.state[i] < ProbeDegen:
 				p.state[i] = ProbeDegen
 			}
 		}
@@ -127,7 +171,7 @@ func (p *Prober) FoldKeyCol(k int, col *Column, sel []int32) {
 			if hasSpec && (col.IsNull(i) || col.IsAll(i)) {
 				continue
 			}
-			p.hashes[i] = combineHash(p.hashes[i], hashSingle(col.Value(i)))
+			p.fold(k, i, hashSingle(col.Value(i)))
 		}
 	case col.PayloadKind() == KindInt:
 		ints := col.Ints()
@@ -136,7 +180,7 @@ func (p *Prober) FoldKeyCol(k int, col *Column, sel []int32) {
 			if hasSpec && (col.IsNull(i) || col.IsAll(i)) {
 				continue
 			}
-			p.hashes[i] = combineHash(p.hashes[i], hashIntKey(ints[i]))
+			p.fold(k, i, hashIntKey(ints[i]))
 		}
 	case col.PayloadKind() == KindFloat:
 		floats := col.Floats()
@@ -145,19 +189,19 @@ func (p *Prober) FoldKeyCol(k int, col *Column, sel []int32) {
 			if hasSpec && (col.IsNull(i) || col.IsAll(i)) {
 				continue
 			}
-			p.hashes[i] = combineHash(p.hashes[i], hashFloatKey(floats[i]))
+			p.fold(k, i, hashFloatKey(floats[i]))
 		}
 	case col.PayloadKind() == KindString:
 		// Value-keyed index column fed from a dict-encoded detail column:
 		// hash each distinct string once per dictionary, then fold by code.
-		hv := p.strHashes(k, col)
+		hv := p.strHvs[k].hashes(col)
 		codes := col.Codes()
 		for _, si := range sel {
 			i := int(si)
 			if hasSpec && (col.IsNull(i) || col.IsAll(i)) {
 				continue
 			}
-			p.hashes[i] = combineHash(p.hashes[i], hv[codes[i]])
+			p.fold(k, i, hv[codes[i]])
 		}
 	case col.PayloadKind() == KindBool:
 		for _, si := range sel {
@@ -165,7 +209,7 @@ func (p *Prober) FoldKeyCol(k int, col *Column, sel []int32) {
 			if hasSpec && (col.IsNull(i) || col.IsAll(i)) {
 				continue
 			}
-			p.hashes[i] = combineHash(p.hashes[i], hashBoolKey(col.BoolAt(i)))
+			p.fold(k, i, hashBoolKey(col.BoolAt(i)))
 		}
 	}
 	// PayloadKind KindNull (empty or all-special column): every selected
@@ -206,7 +250,7 @@ func (p *Prober) foldDictKeyed(k int, col *Column, sel []int32, hasSpec bool) {
 				continue
 			}
 			codes[i] = bc
-			p.hashes[i] = combineHash(p.hashes[i], hashCodeKey(bc))
+			p.fold(k, i, hashCodeKey(bc))
 		}
 	case col.PayloadKind() == KindString:
 		xl := p.dictXlat(k, col)
@@ -224,7 +268,7 @@ func (p *Prober) foldDictKeyed(k int, col *Column, sel []int32, hasSpec bool) {
 				continue
 			}
 			codes[i] = bc
-			p.hashes[i] = combineHash(p.hashes[i], hashCodeKey(bc))
+			p.fold(k, i, hashCodeKey(bc))
 		}
 	default:
 		// Typed non-string payload against an all-string key column:
@@ -261,10 +305,9 @@ func (p *Prober) dictXlat(k int, col *Column) []int32 {
 	return m.tab
 }
 
-// strHashes returns per-code string hashes for column col at a
-// value-keyed position k, with the same memoization as dictXlat.
-func (p *Prober) strHashes(k int, col *Column) []uint64 {
-	m := &p.strHvs[k]
+// hashes returns col's per-code string hashes, with the same memoization
+// as dictXlat: extended as the column's append-only dictionary grows.
+func (m *dictMemo64) hashes(col *Column) []uint64 {
 	dict := col.Dict()
 	if m.col != col {
 		m.col, m.ncode, m.tab = col, 0, m.tab[:0]
@@ -279,13 +322,25 @@ func (p *Prober) strHashes(k int, col *Column) []uint64 {
 }
 
 // ProbeAppend resolves a live position against the index, appending
-// matching row ordinals to dst. The walk consults the tag fingerprints
-// first; skipped reports that the probe resolved empty on tags alone,
-// without a single full-hash comparison — the fingerprint pre-filter's
-// hit counter.
-func (p *Prober) ProbeAppend(dst []int, pos int) (_ []int, skipped bool) {
-	ix := p.ix
+// matching row ordinals to dst. km substitutes the ALL marker at the key
+// positions whose bits it sets (bit k ↔ key k) — the probe for one ALL
+// pattern of a cube base; 0 probes the position's own key. The walk
+// consults the tag fingerprints first; skipped reports that the probe
+// resolved empty on tags alone, without a single full-hash comparison —
+// the fingerprint pre-filter's hit counter.
+func (p *Prober) ProbeAppend(dst []int, pos int, km uint64) (_ []int, skipped bool) {
 	h := p.hashes[pos]
+	if km != 0 {
+		h = fnvBasis
+		for k, hvs := range p.colHashes {
+			hv := hvs[pos]
+			if km&(1<<uint(k)) != 0 {
+				hv = allKeyHash
+			}
+			h = combineHash(h, hv)
+		}
+	}
+	ix := p.ix
 	tag := tagOf(h)
 	s := mix64(h) & ix.mask
 	compared := false
@@ -303,26 +358,30 @@ func (p *Prober) ProbeAppend(dst []int, pos int) (_ []int, skipped bool) {
 		s = (s + 1) & ix.mask
 	}
 	for ri := ix.head[s]; ri >= 0; ri = ix.next[ri] {
-		if p.verify(int(ri), pos) {
+		if p.verify(int(ri), pos, km) {
 			dst = append(dst, int(ri))
 		}
 	}
 	return dst, false
 }
 
-// verify confirms a candidate row against the probed position: dict-keyed
-// columns compare translated int32 codes, the rest compare values.
-func (p *Prober) verify(ri, pos int) bool {
+// verify confirms a candidate row against the probed position: masked
+// key positions must hold ALL, dict-keyed columns compare translated
+// int32 codes, the rest compare values.
+func (p *Prober) verify(ri, pos int, km uint64) bool {
 	ix := p.ix
-	r := ix.tab.Rows[ri]
+	r := ix.rows[ri]
 	for k, c := range ix.cols {
-		if ix.dicts[k] != nil {
+		switch {
+		case km&(1<<uint(k)) != 0:
+			if !r[c].IsAll() {
+				return false
+			}
+		case ix.dicts[k] != nil:
 			if p.codes[k][pos] != ix.rowCodes[k][ri] {
 				return false
 			}
-			continue
-		}
-		if !r[c].Equal(p.keyCols[k].Value(pos)) {
+		case !equalAt(r[c], p.keyCols[k], pos):
 			return false
 		}
 	}

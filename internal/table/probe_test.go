@@ -132,7 +132,7 @@ func TestProberMatchesBoxedProbe(t *testing.T) {
 				}
 			case st == ProbeLive:
 				want := ix.ProbeAppend(nil, key)
-				got, skipped := pr.ProbeAppend(nil, i)
+				got, skipped := pr.ProbeAppend(nil, i, 0)
 				if len(got) != len(want) {
 					t.Fatalf("%s: prober %v vs boxed %v", label, got, want)
 				}
@@ -209,7 +209,7 @@ func TestProberScratchReuse(t *testing.T) {
 		pr.FoldKeyCol(1, ch.Col(1), sel)
 		for i := 0; i < ch.Len(); i++ {
 			if pr.State(i) == ProbeLive {
-				buf, _ = pr.ProbeAppend(buf[:0], i)
+				buf, _ = pr.ProbeAppend(buf[:0], i, 0)
 			}
 		}
 	}
